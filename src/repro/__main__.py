@@ -37,6 +37,9 @@ hot-path tables; ``run``, ``batch``, ``bench`` and ``check`` accept
 ``--metrics-out FILE``/``--metrics-prom FILE`` to export the unified
 metrics snapshot; ``bench --append-trajectory``/``--check-regression``
 maintain the committed perf trajectory (docs/OBSERVABILITY.md).
+
+A front-end error (lexing, parsing or type checking) prints one
+``path:line:column: error: message`` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .bench.trajectory import (
 )
 from .bench.workloads.suites import ALL_SUITES
 from .frontend.irbuilder import compile_source
+from .frontend.lexer import CompileError
 from .interp.interpreter import Interpreter
 from .interp.profile import apply_profile, profile_program
 from .obs import (
@@ -1310,7 +1314,22 @@ def main(argv: list[str] | None = None) -> int:
     workload_parser.set_defaults(func=cmd_workload)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CompileError as exc:
+        print(_compile_error_line(exc, getattr(args, "source", None)),
+              file=sys.stderr)
+        return 1
+
+
+def _compile_error_line(exc: CompileError, source) -> str:
+    """``path:line:column: error: message`` (parts that are unknown,
+    such as the path of a multi-file verb, are left out)."""
+    location = [str(source)] if source is not None else []
+    if exc.line:
+        location += [str(exc.line), str(exc.column)]
+    prefix = ":".join(location) + ": " if location else ""
+    return f"{prefix}error: {exc.message}"
 
 
 if __name__ == "__main__":

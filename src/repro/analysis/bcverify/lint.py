@@ -162,7 +162,6 @@ def _lint_accounting(
     start: int,
     spans: dict,
     code: tuple,
-    metered: bool,
     messages: list,
 ) -> None:
     count = spans.get(start)
@@ -180,22 +179,21 @@ def _lint_accounting(
             f"{func.name}: step increments sum to {sum(steps)} but the "
             f"block has {count} instruction(s)"
         )
-    if metered:
-        cycles = _meter_increments(func, 1)
-        if None in cycles:
-            messages.append(f"{func.name}: non-literal cycle increment")
-            return
-        expected = 0
-        for pc in range(start, start + count):
-            expected = expected + code[pc][1]
-        total = sum(cycles)
-        if total != expected and not math.isclose(
-            total, expected, rel_tol=1e-12, abs_tol=1e-12
-        ):
-            messages.append(
-                f"{func.name}: cycle increments sum to {total!r} but the "
-                f"block's baked costs sum to {expected!r}"
-            )
+    cycles = _meter_increments(func, 1)
+    if None in cycles:
+        messages.append(f"{func.name}: non-literal cycle increment")
+        return
+    expected = 0
+    for pc in range(start, start + count):
+        expected = expected + code[pc][1]
+    total = sum(cycles)
+    if total != expected and not math.isclose(
+        total, expected, rel_tol=1e-12, abs_tol=1e-12
+    ):
+        messages.append(
+            f"{func.name}: cycle increments sum to {total!r} but the "
+            f"block's baked costs sum to {expected!r}"
+        )
 
 
 def _lint_trap_flushes(func: ast.FunctionDef, messages: list) -> None:
@@ -210,11 +208,11 @@ def _lint_trap_flushes(func: ast.FunctionDef, messages: list) -> None:
                 )
 
 
-def lint_closure_source(fn, metered: bool = True) -> list[str]:
+def lint_closure_source(fn) -> list[str]:
     """Lint the closure source for ``fn``; returns message strings."""
     messages: list[str] = []
     try:
-        source = generate_source(fn, metered=metered)
+        source = generate_source(fn)
     except Exception as exc:
         return [f"closure codegen failed: {type(exc).__name__}: {exc}"]
     try:
@@ -236,9 +234,7 @@ def lint_closure_source(fn, metered: bool = True) -> list[str]:
         if match:
             start = int(match.group(1))
             seen_blocks.add(start)
-            _lint_accounting(
-                node, start, spans, fn.code, metered, messages
-            )
+            _lint_accounting(node, start, spans, fn.code, messages)
             _lint_trap_flushes(node, messages)
         elif node.name != "_drive":
             messages.append(
@@ -374,7 +370,7 @@ def _mega_meter_totals(func: ast.FunctionDef) -> tuple:
 
 
 def _lint_mega_accounting(
-    func: ast.FunctionDef, fn, metered: bool, messages: list
+    func: ast.FunctionDef, fn, messages: list
 ) -> None:
     """Whole-function meter balance: every instruction is stepped once
     (segment ``s += W`` sums plus one ``m[0] = s + 1`` per call site)
@@ -389,24 +385,23 @@ def _lint_mega_accounting(
             f"{func.name}: step increments sum to {sum(steps)} but "
             f"{fn.name!r} has {len(fn.code)} instruction(s)"
         )
-    if metered:
-        if None in cycles:
-            messages.append(f"{func.name}: non-literal cycle increment")
-            return
-        expected = 0
-        for ins in fn.code:
-            expected = expected + ins[1]
-        total = sum(cycles)
-        if total != expected and not math.isclose(
-            total, expected, rel_tol=1e-12, abs_tol=1e-12
-        ):
-            messages.append(
-                f"{func.name}: cycle increments sum to {total!r} but "
-                f"{fn.name!r}'s baked costs sum to {expected!r}"
-            )
+    if None in cycles:
+        messages.append(f"{func.name}: non-literal cycle increment")
+        return
+    expected = 0
+    for ins in fn.code:
+        expected = expected + ins[1]
+    total = sum(cycles)
+    if total != expected and not math.isclose(
+        total, expected, rel_tol=1e-12, abs_tol=1e-12
+    ):
+        messages.append(
+            f"{func.name}: cycle increments sum to {total!r} but "
+            f"{fn.name!r}'s baked costs sum to {expected!r}"
+        )
 
 
-def lint_megaunit_source(bytecode, metered: bool = True) -> list[str]:
+def lint_megaunit_source(bytecode) -> list[str]:
     """Lint the whole-program megaunit module; returns message strings.
 
     Programs the megaunit compiler does not support (no block spans)
@@ -414,7 +409,7 @@ def lint_megaunit_source(bytecode, metered: bool = True) -> list[str]:
     engine for them and never execs megaunit text."""
     messages: list[str] = []
     try:
-        source = generate_module_source(bytecode, metered=metered)
+        source = generate_module_source(bytecode)
     except MegaunitUnsupported:
         return []
     except Exception as exc:
@@ -448,7 +443,7 @@ def lint_megaunit_source(bytecode, metered: bool = True) -> list[str]:
         seen.add(index)
         _lint_mega_names(node, messages)
         _lint_mega_calls(node, order, messages)
-        _lint_mega_accounting(node, order[index], metered, messages)
+        _lint_mega_accounting(node, order[index], messages)
         _lint_trap_flushes(node, messages)
     missing = sorted(set(range(len(order))) - seen)
     if missing:

@@ -363,29 +363,17 @@ class ArtifactCache:
         try:
             raw = path.read_bytes()
         except OSError:
-            self.stats.misses += 1
-            tracer.count("cache.miss")
-            tracer.event("cache.miss", key=key)
-            registry.inc("repro_cache_lookups_total", result="miss")
-            return None
+            return self._miss(key, tracer)
         entry = self._decode(key, raw)
         if entry is None:
             self._evict(key, path, "corrupted entry", tracer)
-            self.stats.misses += 1
-            tracer.count("cache.miss")
-            tracer.event("cache.miss", key=key)
-            registry.inc("repro_cache_lookups_total", result="miss")
-            return None
+            return self._miss(key, tracer)
         if self.verify_bytecode != "off":
             reason = self._verify_entry(entry)
             if reason is not None:
                 self._evict(key, path, reason, tracer)
                 registry.inc("repro_bcverify_rejected_artifacts_total")
-                self.stats.misses += 1
-                tracer.count("cache.miss")
-                tracer.event("cache.miss", key=key)
-                registry.inc("repro_cache_lookups_total", result="miss")
-                return None
+                return self._miss(key, tracer)
         self.stats.hits += 1
         tracer.count("cache.hit")
         tracer.event("cache.hit", key=key, path=str(path))
@@ -429,22 +417,8 @@ class ArtifactCache:
         """Atomically persist ``entry``; returns its path."""
         tracer = tracer if tracer is not None else current_tracer()
         path = self.path_for(entry.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(entry.to_payload(), protocol=PICKLE_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest()
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{entry.key[:8]}.", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(digest.encode("ascii") + b"\n" + payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        self._write_blob(path, entry.key, payload)
         self.stats.stores += 1
         tracer.count("cache.store")
         tracer.event("cache.store", key=entry.key, path=str(path))
@@ -471,25 +445,11 @@ class ArtifactCache:
         try:
             raw = path.read_bytes()
         except OSError:
-            self.stats.misses += 1
-            tracer.count("cache.miss")
-            tracer.event("cache.miss", key=key, kind="aux")
-            registry.inc("repro_cache_lookups_total", result="miss")
-            return None
-        payload: Optional[Any] = None
-        try:
-            digest, body = raw.split(b"\n", 1)
-            if hashlib.sha256(body).hexdigest().encode("ascii") == digest:
-                payload = pickle.loads(body)
-        except Exception:
-            payload = None
+            return self._miss(key, tracer, kind="aux")
+        payload = self._load_blob(raw)
         if payload is None:
             self._evict(key, path, "corrupted aux blob", tracer)
-            self.stats.misses += 1
-            tracer.count("cache.miss")
-            tracer.event("cache.miss", key=key, kind="aux")
-            registry.inc("repro_cache_lookups_total", result="miss")
-            return None
+            return self._miss(key, tracer, kind="aux")
         self.stats.hits += 1
         tracer.count("cache.hit")
         tracer.event("cache.hit", key=key, path=str(path), kind="aux")
@@ -502,8 +462,22 @@ class ArtifactCache:
         """Atomically persist an aux ``payload``; returns its path."""
         tracer = tracer if tracer is not None else current_tracer()
         path = self.aux_path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         body = pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
+        self._write_blob(path, key, body)
+        self.stats.stores += 1
+        tracer.count("cache.store")
+        tracer.event("cache.store", key=key, path=str(path), kind="aux")
+        current_registry().inc("repro_cache_stores_total")
+        return path
+
+    # ------------------------------------------------------------------
+    # The blob format shared by entries and aux blobs:
+    # "<sha256-hex-of-body>\n" + pickle(payload).
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _write_blob(path: Path, key: str, body: bytes) -> None:
+        """Atomically write ``body`` behind its digest line to ``path``."""
+        path.parent.mkdir(parents=True, exist_ok=True)
         digest = hashlib.sha256(body).hexdigest()
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:8]}.", suffix=".tmp", dir=path.parent
@@ -518,25 +492,36 @@ class ArtifactCache:
             except OSError:
                 pass
             raise
-        self.stats.stores += 1
-        tracer.count("cache.store")
-        tracer.event("cache.store", key=key, path=str(path), kind="aux")
-        current_registry().inc("repro_cache_stores_total")
-        return path
 
-    # ------------------------------------------------------------------
-    def _decode(self, key: str, raw: bytes) -> Optional[CacheEntry]:
-        """Parse + verify one entry file; None means corrupted."""
+    @staticmethod
+    def _load_blob(raw: bytes) -> Optional[Any]:
+        """Verify the digest line and unpickle the body; None means
+        corrupted (a ``None`` payload counts as corrupted too)."""
         try:
-            digest, payload = raw.split(b"\n", 1)
-            if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
+            digest, body = raw.split(b"\n", 1)
+            if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
                 return None
-            entry = CacheEntry.from_payload(pickle.loads(payload))
-            if entry.key != key:
-                return None
-            return entry
+            return pickle.loads(body)
         except Exception:
             return None
+
+    def _decode(self, key: str, raw: bytes) -> Optional[CacheEntry]:
+        """Parse + verify one entry file; None means corrupted."""
+        payload = self._load_blob(raw)
+        if payload is None:
+            return None
+        try:
+            entry = CacheEntry.from_payload(payload)
+        except Exception:
+            return None
+        return entry if entry.key == key else None
+
+    def _miss(self, key: str, tracer: Tracer, **attrs: Any) -> None:
+        """Count one lookup miss (``attrs`` tag the event, e.g. aux)."""
+        self.stats.misses += 1
+        tracer.count("cache.miss")
+        tracer.event("cache.miss", key=key, **attrs)
+        current_registry().inc("repro_cache_lookups_total", result="miss")
 
     def _evict(
         self, key: str, path: Path, reason: str, tracer: Tracer

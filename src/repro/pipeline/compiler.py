@@ -304,7 +304,6 @@ def make_engine(
     program: Program,
     bytecode: Any = None,
     max_steps: int = 50_000_000,
-    metered: bool = True,
     check_bc: str = "off",
     tiering: Any = None,
     plan_cache: Any = None,
@@ -324,8 +323,9 @@ def make_engine(
     profile-fingerprint-keyed tier-up plans).  VM engines accept a
     pre-translated ``bytecode`` program to skip re-translation (e.g. a
     cache hit) — except ``tiered``, which always translates its own
-    unfused baseline so every function starts cold.  All engines
-    report identical cycles/steps/outcomes by construction.
+    unfused baseline so every function starts cold.  Every engine
+    meters cycles, and all report identical cycles/steps/outcomes by
+    construction.
     ``check_bc="rewrite"`` verifies any bytecode translated here (see
     :func:`repro.vm.translate.translate_program`); pre-translated
     bytecode is the cache's responsibility (``--check-bc=load``).
@@ -334,8 +334,8 @@ def make_engine(
         return Interpreter(
             program,
             max_steps=max_steps,
-            cycle_cost=cycles_of if metered else None,
-            terminator_cost=cycles_of if metered else None,
+            cycle_cost=cycles_of,
+            terminator_cost=cycles_of,
         )
     if engine == "tiered":
         from ..vm import TieredVirtualMachine, translate_program
@@ -357,7 +357,6 @@ def make_engine(
             program,
             baseline,
             max_steps=max_steps,
-            metered=metered,
             policy=tiering,
             plan_cache=plan_cache,
         )
@@ -376,20 +375,13 @@ def make_engine(
         bytecode = translate_program(program, check_bc=check_bc)
     if engine == "closure":
         return ClosureVirtualMachine(
-            bytecode, max_steps=max_steps, metered=metered,
-            codegen_cache=plan_cache,
+            bytecode, max_steps=max_steps, codegen_cache=plan_cache
         )
     if engine == "megaunit":
         return MegaunitVirtualMachine(
-            bytecode, max_steps=max_steps, metered=metered,
-            codegen_cache=plan_cache,
+            bytecode, max_steps=max_steps, codegen_cache=plan_cache
         )
-    return VirtualMachine(
-        bytecode,
-        max_steps=max_steps,
-        metered=metered,
-        fused=engine == "vm",
-    )
+    return VirtualMachine(bytecode, max_steps=max_steps, fused=engine == "vm")
 
 
 def measure_performance(

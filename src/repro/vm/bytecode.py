@@ -7,7 +7,7 @@ tuples**.  Every tuple shares a fixed prefix::
 
 * ``opcode`` — an integer index into the machine's handler table;
 * ``cycle_cost`` — the node's cost-model cycles, baked at translation
-  time so metered runs add a float instead of calling ``cycles_of``;
+  time so every run adds a float instead of calling ``cycles_of``;
 * ``source_node`` — the originating IR node (kept for the observer
   hook, ``ProfileCollector.record_branch`` and diagnostics);
 * ``dest_register`` — index into the flat register file, or ``-1``

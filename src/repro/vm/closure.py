@@ -11,7 +11,7 @@ per basic block — and lets CPython's own bytecode do the dispatch:
 * instructions are inlined as straight-line statements — arithmetic
   with the wrap64 literals baked in, interned constants inlined as
   Python literals, field/array/global traffic as plain subscripts;
-* steps and metered cycles are accounted **per segment** (a maximal
+* steps and cycles are accounted **per segment** (a maximal
   call-free instruction run): one ``m[0] += W`` / ``m[1] += C`` pair
   per segment instead of per instruction, with ``W``/``C`` baked at
   compile time.
@@ -35,9 +35,9 @@ Exactness is preserved at every observable point:
 Hooked runs (a profile collector or an observer) fall back to the
 flat-tuple machine loops, which keeps hook semantics untouched by
 construction; so do functions without block-span metadata (legacy
-cache artifacts).  ``max_steps`` and ``metered`` are baked into the
-generated source, so drivers are recompiled if either changes between
-runs on the same machine instance.
+cache artifacts).  Every run is metered, so one generated source
+serves each function; ``max_steps`` is baked into it, so drivers are
+recompiled if it changes between runs on the same machine instance.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ def _finish_budget(vm, fn, regs, m, pc) -> None:
     state = vm.state
     code = fn.code
     max_steps = vm.max_steps
-    metered = vm.metered
     steps, cycles = m
     while True:
         ins = code[pc]
@@ -155,8 +154,7 @@ def _finish_budget(vm, fn, regs, m, pc) -> None:
             state.steps = steps
             state.cycles = cycles
             raise
-        if metered:
-            cycles += ins[1]
+        cycles += ins[1]
 
 
 # ----------------------------------------------------------------------
@@ -168,12 +166,10 @@ class _FunctionCompiler:
     def __init__(
         self,
         fn: BytecodeFunction,
-        metered: bool,
         max_steps: int,
         max_call_depth: int,
     ) -> None:
         self.fn = fn
-        self.metered = metered
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
         self.lines: list[str] = []
@@ -236,11 +232,10 @@ class _FunctionCompiler:
         partial cycle sum of the instructions *before* it.
         """
         self.emit(indent, f"state.steps = m[0] + {k}")
-        if self.metered:
-            if ck:
-                self.emit(indent, f"state.cycles = m[1] + {ck!r}")
-            else:
-                self.emit(indent, "state.cycles = m[1]")
+        if ck:
+            self.emit(indent, f"state.cycles = m[1] + {ck!r}")
+        else:
+            self.emit(indent, "state.cycles = m[1]")
 
     def wrap64(self, indent: int, dest: int, expr: str) -> None:
         self.emit(indent, f"v = ({expr}) & {_MASK}")
@@ -458,7 +453,7 @@ class _FunctionCompiler:
     def meter_charge(self, indent: int, w: int, acc) -> None:
         """Segment-exit meter charge: ``w`` steps, ``acc`` cycles."""
         self.emit(indent, f"m[0] += {w}")
-        if self.metered and acc:
+        if acc:
             self.emit(indent, f"m[1] += {acc!r}")
 
     def gen_segment(self, indent: int, start: int, end: int) -> None:
@@ -497,7 +492,7 @@ class _FunctionCompiler:
         )
         self.emit(indent, "m[0] = state.steps")
         self.emit(indent, "m[1] = state.cycles")
-        if self.metered and ins[1]:
+        if ins[1]:
             self.emit(indent, f"m[1] += {ins[1]!r}")
 
     def gen_drive(self) -> None:
@@ -538,7 +533,6 @@ class _FunctionCompiler:
 
 def compile_function(
     fn: BytecodeFunction,
-    metered: bool,
     max_steps: int,
     max_call_depth: int,
 ) -> Optional[Callable]:
@@ -549,7 +543,7 @@ def compile_function(
     """
     if not fn.blocks:
         return None
-    return _FunctionCompiler(fn, metered, max_steps, max_call_depth).compile()
+    return _FunctionCompiler(fn, max_steps, max_call_depth).compile()
 
 
 def exec_function_source(
@@ -589,18 +583,17 @@ def exec_function_source(
 
 def generate_source(
     fn: BytecodeFunction,
-    metered: bool = True,
     max_steps: int = 50_000_000,
     max_call_depth: int = 200,
 ) -> str:
     """The Python source ``compile_function`` would exec, *without*
     executing it — the static codegen lint works on this text."""
-    return _FunctionCompiler(fn, metered, max_steps, max_call_depth).source()
+    return _FunctionCompiler(fn, max_steps, max_call_depth).source()
 
 
-def function_source(fn: BytecodeFunction, metered: bool = True) -> str:
+def function_source(fn: BytecodeFunction) -> str:
     """The generated Python source for ``fn`` (docs and debugging)."""
-    return generate_source(fn, metered)
+    return generate_source(fn)
 
 
 # ----------------------------------------------------------------------
@@ -612,8 +605,8 @@ class ClosureVirtualMachine(VirtualMachine):
     Drop-in: same constructor, ``run``/``reset``/``state`` API and
     observable semantics.  Drivers compile lazily on a function's
     first frame (so construction stays cheap and recursion works) and
-    are cached per ``(max_steps, metered)`` — changing either on a
-    live machine transparently recompiles.  Hooked runs (profile
+    are cached per ``max_steps`` — changing it on a live machine
+    transparently recompiles.  Hooked runs (profile
     collector or observer) fall back to the machine's flat-tuple
     loops, as do functions without block metadata.
 
@@ -632,7 +625,7 @@ class ClosureVirtualMachine(VirtualMachine):
         super().__init__(bytecode, **kwargs)
         self.codegen_cache = codegen_cache
         self._drivers: dict[str, Any] = {}
-        self._compiled_for = (self.max_steps, self.metered)
+        self._compiled_for = self.max_steps
 
     def _compile_driver(self, fn: BytecodeFunction) -> Optional[Callable]:
         """Compile one driver, through the codegen cache when present."""
@@ -640,14 +633,11 @@ class ClosureVirtualMachine(VirtualMachine):
             return None
         cache = self.codegen_cache
         if cache is None:
-            return compile_function(
-                fn, self.metered, self.max_steps, self.max_call_depth
-            )
+            return compile_function(fn, self.max_steps, self.max_call_depth)
         from .codegen_cache import codegen_key, load_source, store_source
 
         key = codegen_key(
-            "closure", (fn,), self.metered, self.max_steps,
-            self.max_call_depth,
+            "closure", (fn,), self.max_steps, self.max_call_depth
         )
         payload = load_source(cache, key, "closure")
         if payload is not None and payload.get("function") == fn.name:
@@ -657,9 +647,7 @@ class ClosureVirtualMachine(VirtualMachine):
                 )
             except KeyError:
                 pass  # callee vanished from the table: regenerate
-        compiler = _FunctionCompiler(
-            fn, self.metered, self.max_steps, self.max_call_depth
-        )
+        compiler = _FunctionCompiler(fn, self.max_steps, self.max_call_depth)
         drive = compiler.compile()
         callees = [
             compiler.namespace[f"_f{i}"].name
@@ -679,10 +667,9 @@ class ClosureVirtualMachine(VirtualMachine):
     def _run_frame(self, fn: BytecodeFunction, args: list[Any]) -> Any:
         if self.profile is not None or self.observer is not None:
             return super()._run_frame(fn, args)
-        key = (self.max_steps, self.metered)
-        if key != self._compiled_for:
+        if self.max_steps != self._compiled_for:
             self._drivers.clear()
-            self._compiled_for = key
+            self._compiled_for = self.max_steps
         drive = self._drivers.get(fn.name)
         if drive is None:
             drive = self._compile_driver(fn) or _FALLBACK

@@ -2,16 +2,17 @@
 
 The closure and megaunit engines *generate Python source* from
 bytecode streams and ``exec`` it.  Codegen is pure — a deterministic
-function of the instruction stream, the metering mode and the baked-in
-limits — so the generated text can be persisted in the artifact
-cache's aux store (:meth:`~repro.pipeline.cache.ArtifactCache.put_aux`)
-and reused by warm runs, skipping source generation and the per-line
-f-string work entirely.
+function of the instruction stream and the baked-in limits — so the
+generated text can be persisted in the artifact cache's aux store
+(:meth:`~repro.pipeline.cache.ArtifactCache.put_aux`) and reused by
+warm runs, skipping source generation and the per-line f-string work
+entirely.  Every engine always meters cycles, so there is exactly one
+generated-source variant per function and no metering mode in the key.
 
 Keys are content digests over schema + engine + per-function stream
-digests + every baked knob (``metered``, ``max_steps``,
-``max_call_depth``), so a stale artifact can never be executed against
-a stream it was not generated from.  Payloads carry the source plus
+digests + every baked knob (``max_steps``, ``max_call_depth``), so a
+stale artifact can never be executed against a stream it was not
+generated from.  Payloads carry the source plus
 the callee-name order needed to rebuild the exec namespace without
 regenerating.  Hits and misses are counted by the
 ``repro_codegen_cache_total`` metric, labelled by engine.
@@ -66,7 +67,6 @@ def function_digest(fn: BytecodeFunction) -> str:
 def codegen_key(
     engine: str,
     fns: Sequence[BytecodeFunction],
-    metered: bool,
     max_steps: int,
     max_call_depth: int,
 ) -> str:
@@ -76,7 +76,6 @@ def codegen_key(
             "schema": CODEGEN_SCHEMA,
             "engine": engine,
             "functions": [function_digest(fn) for fn in fns],
-            "metered": bool(metered),
             "max_steps": max_steps,
             "max_call_depth": max_call_depth,
         },

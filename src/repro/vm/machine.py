@@ -12,8 +12,8 @@ reference interpreter's observable semantics:
 * the same profile hooks (``record_block`` on every block entry,
   ``record_branch`` per ``If``) and the same
   ``observer(instruction, value)`` callback per produced value;
-* metered runs accumulate the costs baked into the tuples, matching
-  the reference's ``cycle_cost=cycles_of`` totals.
+* every run is metered: it accumulates the costs baked into the
+  tuples, matching the reference's ``cycle_cost=cycles_of`` totals.
 
 The dispatch loop keeps ``steps``/``cycles`` in Python locals and
 flushes them to the shared :class:`InterpreterState` around calls,
@@ -350,8 +350,8 @@ class VirtualMachine:
     """Drop-in execution engine with the reference interpreter's API.
 
     ``run``/``reset``/``state`` mirror :class:`repro.interp.Interpreter`
-    so harness code can treat both engines uniformly.  Metering is a
-    boolean (costs are baked into the bytecode at translation time);
+    so harness code can treat both engines uniformly.  Every run is
+    metered (costs are baked into the bytecode at translation time);
     translate with custom cost functions for a non-default model.
     """
 
@@ -359,7 +359,6 @@ class VirtualMachine:
         self,
         bytecode: BytecodeProgram,
         max_steps: int = 50_000_000,
-        metered: bool = False,
         profile: Optional[ProfileCollector] = None,
         max_call_depth: int = 200,
         observer: Optional[Callable[[Any, Any], None]] = None,
@@ -367,7 +366,6 @@ class VirtualMachine:
     ) -> None:
         self.bytecode = bytecode
         self.max_steps = max_steps
-        self.metered = metered
         self.profile = profile
         self.max_call_depth = max_call_depth
         self.observer = observer
@@ -436,19 +434,18 @@ class VirtualMachine:
             self.profile.record_block(fn.entry_block)
         state = self.state
         max_steps = self.max_steps
-        metered = self.metered
         observer = self.observer
         handlers = _HANDLERS
         code = fn.code
         # Hot loop: steps/cycles live in locals, flushed to the shared
         # state around calls, returns and traps (see module docstring).
-        # Three specializations keep per-instruction branching minimal;
-        # they are line-for-line identical except for metering/observer.
+        # Two specializations keep per-instruction branching minimal;
+        # they are line-for-line identical except for the observer.
         steps = state.steps
         cycles = state.cycles
         pc = 0
         try:
-            if observer is None and metered:
+            if observer is None:
                 while True:
                     ins = code[pc]
                     steps += 1
@@ -476,32 +473,6 @@ class VirtualMachine:
                         cycles = state.cycles
                         pc += 1
                     cycles += ins[1]
-            elif observer is None:
-                while True:
-                    ins = code[pc]
-                    steps += 1
-                    if steps > max_steps:
-                        state.steps = steps
-                        state.cycles = cycles
-                        raise BudgetExceeded(
-                            f"exceeded {max_steps} interpreter steps"
-                        )
-                    op = ins[0]
-                    if op != OP_CALL:
-                        pc = handlers[op](self, ins, regs, pc)
-                        if pc < 0:
-                            state.steps = steps
-                            state.cycles = cycles
-                            return self._retval
-                    else:
-                        state.steps = steps
-                        state.cycles = cycles
-                        regs[ins[3]] = self._call(
-                            ins[4], [regs[r] for r in ins[5]]
-                        )
-                        steps = state.steps
-                        cycles = state.cycles
-                        pc += 1
             else:
                 while True:
                     ins = code[pc]
@@ -517,7 +488,7 @@ class VirtualMachine:
                         pc = handlers[op](self, ins, regs, pc)
                         if pc < 0:
                             state.steps = steps
-                            state.cycles = cycles + ins[1] if metered else cycles
+                            state.cycles = cycles + ins[1]
                             return self._retval
                     else:
                         state.steps = steps
@@ -528,8 +499,7 @@ class VirtualMachine:
                         steps = state.steps
                         cycles = state.cycles
                         pc += 1
-                    if metered:
-                        cycles += ins[1]
+                    cycles += ins[1]
                     if ins[3] >= 0:
                         observer(ins[2], regs[ins[3]])
         except EvaluationTrap:
@@ -574,161 +544,85 @@ class VirtualMachine:
         cycles = state.cycles
         pc = 0
         try:
-            if self.metered:
-                while True:
-                    ins = code[pc]
-                    steps += ins[-1]
-                    if steps > max_steps:
-                        self._budget_stop(ins, regs, pc, steps, cycles)
-                    op = ins[0]
-                    if op >= x_spec:
-                        pc = handlers[op](self, ins, regs, pc)
-                    elif op == x_if_lt:
-                        c = regs[ins[4]] < regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_GOTO:
-                        edge = ins[4]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == x_if_gt:
-                        c = regs[ins[4]] > regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == x_if_ge:
-                        c = regs[ins[4]] >= regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_IF:
-                        edge = ins[5] if regs[ins[4]] else ins[6]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_RETURN:
+            while True:
+                ins = code[pc]
+                steps += ins[-1]
+                if steps > max_steps:
+                    self._budget_stop(ins, regs, pc, steps, cycles)
+                op = ins[0]
+                if op >= x_spec:
+                    pc = handlers[op](self, ins, regs, pc)
+                elif op == x_if_lt:
+                    c = regs[ins[4]] < regs[ins[5]]
+                    regs[ins[3]] = c
+                    edge = ins[6] if c else ins[7]
+                    if edge[1]:
+                        for d, s in edge[1]:
+                            regs[d] = regs[s]
+                    pc = edge[0]
+                elif op == OP_GOTO:
+                    edge = ins[4]
+                    if edge[1]:
+                        for d, s in edge[1]:
+                            regs[d] = regs[s]
+                    pc = edge[0]
+                elif op == x_if_gt:
+                    c = regs[ins[4]] > regs[ins[5]]
+                    regs[ins[3]] = c
+                    edge = ins[6] if c else ins[7]
+                    if edge[1]:
+                        for d, s in edge[1]:
+                            regs[d] = regs[s]
+                    pc = edge[0]
+                elif op == x_if_ge:
+                    c = regs[ins[4]] >= regs[ins[5]]
+                    regs[ins[3]] = c
+                    edge = ins[6] if c else ins[7]
+                    if edge[1]:
+                        for d, s in edge[1]:
+                            regs[d] = regs[s]
+                    pc = edge[0]
+                elif op == OP_IF:
+                    edge = ins[5] if regs[ins[4]] else ins[6]
+                    if edge[1]:
+                        for d, s in edge[1]:
+                            regs[d] = regs[s]
+                    pc = edge[0]
+                elif op == OP_RETURN:
+                    state.steps = steps
+                    state.cycles = cycles + ins[1]
+                    return regs[ins[4]] if ins[4] >= 0 else None
+                elif op != OP_CALL:
+                    pc = handlers[op](self, ins, regs, pc)
+                    if pc < 0:
                         state.steps = steps
                         state.cycles = cycles + ins[1]
-                        return regs[ins[4]] if ins[4] >= 0 else None
-                    elif op != OP_CALL:
-                        pc = handlers[op](self, ins, regs, pc)
-                        if pc < 0:
-                            state.steps = steps
-                            state.cycles = cycles + ins[1]
-                            return self._retval
-                    else:
-                        # Direct frame dispatch: skips the _call and
-                        # _run_frame layers.  Arity is correct by
-                        # construction in translated bytecode, and the
-                        # fast-frame preconditions (fused, no hooks)
-                        # are invariant across frames of one run.
-                        state.steps = steps
-                        state.cycles = cycles
-                        callee = ins[4]
-                        self._call_depth += 1
-                        try:
-                            if callee.xcode is not None:
-                                regs[ins[3]] = self._run_frame_fast(
-                                    callee, [regs[r] for r in ins[5]]
-                                )
-                            else:
-                                regs[ins[3]] = self._run_frame(
-                                    callee, [regs[r] for r in ins[5]]
-                                )
-                        finally:
-                            self._call_depth -= 1
-                        steps = state.steps
-                        cycles = state.cycles
-                        pc += 1
-                    cycles += ins[1]
-            else:
-                while True:
-                    ins = code[pc]
-                    steps += ins[-1]
-                    if steps > max_steps:
-                        self._budget_stop(ins, regs, pc, steps, cycles)
-                    op = ins[0]
-                    if op >= x_spec:
-                        pc = handlers[op](self, ins, regs, pc)
-                    elif op == x_if_lt:
-                        c = regs[ins[4]] < regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_GOTO:
-                        edge = ins[4]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == x_if_gt:
-                        c = regs[ins[4]] > regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == x_if_ge:
-                        c = regs[ins[4]] >= regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_IF:
-                        edge = ins[5] if regs[ins[4]] else ins[6]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_RETURN:
-                        state.steps = steps
-                        state.cycles = cycles
-                        return regs[ins[4]] if ins[4] >= 0 else None
-                    elif op != OP_CALL:
-                        pc = handlers[op](self, ins, regs, pc)
-                        if pc < 0:
-                            state.steps = steps
-                            state.cycles = cycles
-                            return self._retval
-                    else:
-                        # Same direct frame dispatch as the metered loop.
-                        state.steps = steps
-                        state.cycles = cycles
-                        callee = ins[4]
-                        self._call_depth += 1
-                        try:
-                            if callee.xcode is not None:
-                                regs[ins[3]] = self._run_frame_fast(
-                                    callee, [regs[r] for r in ins[5]]
-                                )
-                            else:
-                                regs[ins[3]] = self._run_frame(
-                                    callee, [regs[r] for r in ins[5]]
-                                )
-                        finally:
-                            self._call_depth -= 1
-                        steps = state.steps
-                        cycles = state.cycles
-                        pc += 1
+                        return self._retval
+                else:
+                    # Direct frame dispatch: skips the _call and
+                    # _run_frame layers.  Arity is correct by
+                    # construction in translated bytecode, and the
+                    # fast-frame preconditions (fused, no hooks)
+                    # are invariant across frames of one run.
+                    state.steps = steps
+                    state.cycles = cycles
+                    callee = ins[4]
+                    self._call_depth += 1
+                    try:
+                        if callee.xcode is not None:
+                            regs[ins[3]] = self._run_frame_fast(
+                                callee, [regs[r] for r in ins[5]]
+                            )
+                        else:
+                            regs[ins[3]] = self._run_frame(
+                                callee, [regs[r] for r in ins[5]]
+                            )
+                    finally:
+                        self._call_depth -= 1
+                    steps = state.steps
+                    cycles = state.cycles
+                    pc += 1
+                cycles += ins[1]
         except EvaluationTrap:
             # Fused handlers never trap (fusion only combines
             # non-trapping ops), so a trapping instruction here always
@@ -763,5 +657,5 @@ class VirtualMachine:
                 _HANDLERS[half[0]](self, half, regs, pc)
                 extra += half[1]
             state.steps = steps - w + allowed + 1
-            state.cycles = cycles + extra if self.metered else cycles
+            state.cycles = cycles + extra
         raise BudgetExceeded(f"exceeded {self.max_steps} interpreter steps")

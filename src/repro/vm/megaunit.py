@@ -148,13 +148,12 @@ class _MegaFunctionCompiler(_FunctionCompiler):
     def __init__(
         self,
         fn: BytecodeFunction,
-        metered: bool,
         max_steps: int,
         max_call_depth: int,
         index: int,
         entries: dict[int, str],
     ) -> None:
-        super().__init__(fn, metered, max_steps, max_call_depth)
+        super().__init__(fn, max_steps, max_call_depth)
         self.index = index
         self.entries = entries
         self._inline: set[int] = set()
@@ -189,16 +188,15 @@ class _MegaFunctionCompiler(_FunctionCompiler):
 
     def meter_charge(self, indent: int, w: int, acc) -> None:
         self.emit(indent, f"s += {w}")
-        if self.metered and acc:
+        if acc:
             self.emit(indent, f"c += {acc!r}")
 
     def flush(self, indent: int, k: int, ck) -> None:
         self.emit(indent, f"state.steps = s + {k}")
-        if self.metered:
-            if ck:
-                self.emit(indent, f"state.cycles = c + {ck!r}")
-            else:
-                self.emit(indent, "state.cycles = c")
+        if ck:
+            self.emit(indent, f"state.cycles = c + {ck!r}")
+        else:
+            self.emit(indent, "state.cycles = c")
 
     # -- control transfer -----------------------------------------------
     def block_edges(self, start: int, count: int) -> tuple:
@@ -287,7 +285,7 @@ class _MegaFunctionCompiler(_FunctionCompiler):
         args = "".join(f", {self.reg(a)}" for a in ins[5])
         emit(indent, f"{self.reg(ins[3])} = {target}(vm, m{args}, d + 1)")
         emit(indent, "s = m[0]")
-        if self.metered and ins[1]:
+        if ins[1]:
             emit(indent, f"c = m[1] + {ins[1]!r}")
         else:
             emit(indent, "c = m[1]")
@@ -387,7 +385,6 @@ class _MegaFunctionCompiler(_FunctionCompiler):
 
 def generate_module_source(
     bytecode: BytecodeProgram,
-    metered: bool = True,
     max_steps: int = 50_000_000,
     max_call_depth: int = 200,
 ) -> str:
@@ -401,7 +398,7 @@ def generate_module_source(
     for i, fn in enumerate(order):
         parts.append(
             _MegaFunctionCompiler(
-                fn, metered, max_steps, max_call_depth, i, entries
+                fn, max_steps, max_call_depth, i, entries
             ).source()
         )
     return "\n".join(parts)
@@ -444,7 +441,6 @@ def _exec_module(
 
 def compile_module(
     bytecode: BytecodeProgram,
-    metered: bool,
     max_steps: int,
     max_call_depth: int,
     codegen_cache: Optional[Any] = None,
@@ -455,9 +451,7 @@ def compile_module(
     if codegen_cache is not None:
         from .codegen_cache import codegen_key, load_source, store_source
 
-        key = codegen_key(
-            "megaunit", order, metered, max_steps, max_call_depth
-        )
+        key = codegen_key("megaunit", order, max_steps, max_call_depth)
         payload = load_source(codegen_cache, key, "megaunit")
         if (
             payload is not None
@@ -465,9 +459,7 @@ def compile_module(
         ):
             return _exec_module(bytecode, order, payload["source"])
     try:
-        source = generate_module_source(
-            bytecode, metered, max_steps, max_call_depth
-        )
+        source = generate_module_source(bytecode, max_steps, max_call_depth)
     except MegaunitUnsupported:
         return None
     module = _exec_module(bytecode, order, source)
@@ -491,7 +483,7 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
     exec unit.  Drop-in: same constructor, ``run``/``reset``/``state``
     API and observable semantics as every other engine.  The module
     compiles lazily on the first frame and is cached per
-    ``(max_steps, metered)``; insufficient recursion headroom or
+    ``max_steps``; insufficient recursion headroom or
     missing block spans fall back to the inherited closure engine (a
     ``vm.fallback`` event records why)."""
 
@@ -504,20 +496,19 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
         super().__init__(bytecode, codegen_cache=codegen_cache, **kwargs)
         self._mu_module: Optional[MegaunitModule] = None
         self._mu_ready = False
-        self._mu_compiled_for = (self.max_steps, self.metered)
+        self._mu_compiled_for = self.max_steps
         self._mu_fallbacks_noted: set = set()
 
     def _module(self) -> Optional[MegaunitModule]:
-        key = (self.max_steps, self.metered)
-        if key != self._mu_compiled_for:
+        if self.max_steps != self._mu_compiled_for:
             self._mu_module = None
             self._mu_ready = False
-            self._mu_compiled_for = key
+            self._mu_compiled_for = self.max_steps
         if not self._mu_ready:
             self._mu_ready = True
             self._mu_module = compile_module(
-                self.bytecode, self.metered, self.max_steps,
-                self.max_call_depth, codegen_cache=self.codegen_cache,
+                self.bytecode, self.max_steps, self.max_call_depth,
+                codegen_cache=self.codegen_cache,
             )
         return self._mu_module
 

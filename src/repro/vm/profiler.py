@@ -1,6 +1,6 @@
 """Execution profiling for the bytecode VM.
 
-Attributes metered cycles and instruction counts **per opcode**, **per
+Attributes cycles and instruction counts **per opcode**, **per
 basic block** and **per function**, plus collapsed call-stack weights
 consumable by standard flamegraph tooling (Brendan Gregg's
 ``flamegraph.pl``, speedscope, inferno).  Surfaced on the CLI as the
@@ -10,20 +10,23 @@ Zero-overhead contract
 ----------------------
 The profiled dispatch loop is a **separate specialization**:
 :class:`ProfilingVirtualMachine` overrides ``_run_frame`` with its own
-copy of the metered loop plus attribution, and pins ``profile=None`` /
-``observer=None`` so the shared opcode handlers keep taking their fast
-edge paths.  :class:`~repro.vm.machine.VirtualMachine` itself is not
+copy of the flat dispatch loop plus attribution, and pins
+``profile=None`` / ``observer=None`` so the shared opcode handlers keep
+taking their fast edge paths.  :class:`~repro.vm.machine.VirtualMachine` itself is not
 touched — the default VM pays nothing for the profiler's existence.
 ``tests/test_vm/test_profiler.py`` pins the override and the
 instruction-stream identity; the CI bench gate (≥2× median VM speedup)
 re-verifies the claim end to end.
 
-Accounting contract (mirrors the metered loop exactly)
-------------------------------------------------------
+Accounting contract (mirrors the flat loop exactly)
+---------------------------------------------------
+Every engine always meters cycles, so the profiler's totals are the
+numbers any other engine reports for the same run.
+
 * every executed instruction counts one step attributed to its opcode;
 * an instruction's cycles are attributed only once it *completes* —
   a trapping instruction counts a step but no cycles, exactly like the
-  metered loop (which skips ``cycles += ins[1]`` on the trap path);
+  flat loop (which skips ``cycles += ins[1]`` on the trap path);
 * the step that raises :class:`BudgetExceeded` is counted by the
   machine but attributed to no opcode (the loop raises before
   dispatch), so per-opcode step sums reconcile with ``state.steps``
@@ -33,7 +36,7 @@ Accounting contract (mirrors the metered loop exactly)
 Block and function attribution piggyback on the same points, so their
 cycle sums reconcile too; function/stack weights are **exclusive**
 (callees excluded), which is what collapsed-stack format requires —
-the sum over all stacks equals the metered total.
+the sum over all stacks equals the run's total cycles.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class VMProfile:
         return sum(self.opcode_cycles)
 
     def reconciles(self, cycles: float) -> bool:
-        """Do the per-opcode cycle sums match a metered total exactly?
+        """Do the per-opcode cycle sums match a run's cycle total exactly?
 
         Cost-model cycles are integer-valued, so float summation is
         order-independent and exact; the tolerance only guards custom
@@ -245,11 +248,10 @@ class VMProfile:
 class ProfilingVirtualMachine(VirtualMachine):
     """A :class:`VirtualMachine` whose dispatch loop attributes cycles.
 
-    Always metered (attribution without metering is meaningless) and
-    always with ``profile=None`` / ``observer=None`` — the shared
-    opcode handlers check those two attributes for their fast edge
-    path, so pinning them keeps handler behaviour identical to an
-    unobserved metered run.  Use the base class's ``profile=`` hook
+    Metered like every engine, and always with ``profile=None`` /
+    ``observer=None`` — the shared opcode handlers check those two
+    attributes for their fast edge path, so pinning them keeps handler
+    behaviour identical to an unobserved run.  Use the base class's ``profile=`` hook
     (:class:`~repro.interp.interpreter.ProfileCollector`) when you want
     branch probabilities for the compiler instead of a runtime profile.
     """
@@ -264,7 +266,6 @@ class ProfilingVirtualMachine(VirtualMachine):
         super().__init__(
             bytecode,
             max_steps=max_steps,
-            metered=True,
             profile=None,
             max_call_depth=max_call_depth,
             observer=None,
@@ -273,7 +274,7 @@ class ProfilingVirtualMachine(VirtualMachine):
         self._stack: list[str] = []
 
     def _run_frame(self, fn, args):
-        # A line-for-line copy of the base class's metered
+        # A line-for-line copy of the base class's no-observer
         # specialization with attribution added; keep the two in sync
         # (test_profiler pins step/cycle parity against the base VM).
         if self._call_depth > self.max_call_depth:
@@ -368,7 +369,7 @@ def profile_run(
 ) -> tuple[float, list[ExecutionResult], VMProfile]:
     """Execute ``entry`` over ``arg_sets`` under the profiling VM.
 
-    Returns ``(total metered cycles, per-run results, profile)``.  The
+    Returns ``(total cycles, per-run results, profile)``.  The
     machine is reset between argument sets (run-to-run isolation, like
     ``measure_performance``) while the profile accumulates across all
     of them.

@@ -416,7 +416,6 @@ class TieredVirtualMachine(VirtualMachine):
         program: Any,
         bytecode: Optional[BytecodeProgram] = None,
         max_steps: int = 50_000_000,
-        metered: bool = False,
         profile: Optional[Any] = None,
         max_call_depth: int = 200,
         observer: Optional[Any] = None,
@@ -430,7 +429,6 @@ class TieredVirtualMachine(VirtualMachine):
         super().__init__(
             bytecode,
             max_steps=max_steps,
-            metered=metered,
             profile=profile,
             max_call_depth=max_call_depth,
             observer=observer,
@@ -515,8 +513,7 @@ class TieredVirtualMachine(VirtualMachine):
         if not self._tier2_ready:
             self._tier2_ready = True
             self._tier2_module = compile_module(
-                self.bytecode, self.metered, self.max_steps,
-                self.max_call_depth,
+                self.bytecode, self.max_steps, self.max_call_depth,
                 codegen_cache=self.controller.plan_cache,
             )
         module = self._tier2_module
@@ -590,7 +587,6 @@ class TieredVirtualMachine(VirtualMachine):
             regs[: len(args)] = args
         state = self.state
         max_steps = self.max_steps
-        metered = self.metered
         handlers = _HANDLERS
         code = fn.code
         threshold = self.policy.threshold
@@ -605,151 +601,78 @@ class TieredVirtualMachine(VirtualMachine):
         cycles = state.cycles
         pc = 0
         try:
-            if metered:
-                while True:
-                    ins = code[pc]
-                    steps += 1
-                    if steps > max_steps:
-                        state.steps = steps
-                        state.cycles = cycles
-                        raise BudgetExceeded(
-                            f"exceeded {max_steps} interpreter steps"
-                        )
-                    op = ins[0]
-                    if op == OP_IF:
-                        if regs[ins[4]]:
-                            edge = ins[5]
-                            state_rec.branches_taken += 1
-                            slot = 0
-                        else:
-                            edge = ins[6]
-                            slot = 1
-                        counts = branches.get(pc)
-                        if counts is None:
-                            counts = branches[pc] = [0, 0]
-                        counts[slot] += 1
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        npc = edge[0]
-                        blocks[edge[3]] = blocks.get(edge[3], 0) + 1
-                        if npc <= pc:
-                            state_rec.backedges += 1
-                            if (
-                                state_rec.promotable
-                                and state_rec.calls + state_rec.backedges
-                                >= threshold
-                            ):
-                                self.controller.promote(
-                                    fn, state_rec, "backedge"
-                                )
-                        pc = npc
-                    elif op == OP_GOTO:
-                        edge = ins[4]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        npc = edge[0]
-                        blocks[edge[3]] = blocks.get(edge[3], 0) + 1
-                        if npc <= pc:
-                            state_rec.backedges += 1
-                            if (
-                                state_rec.promotable
-                                and state_rec.calls + state_rec.backedges
-                                >= threshold
-                            ):
-                                self.controller.promote(
-                                    fn, state_rec, "backedge"
-                                )
-                        pc = npc
-                    elif op != OP_CALL:
-                        pc = handlers[op](self, ins, regs, pc)
-                        if pc < 0:
-                            state.steps = steps
-                            state.cycles = cycles + ins[1]
-                            return self._retval
+            while True:
+                ins = code[pc]
+                steps += 1
+                if steps > max_steps:
+                    state.steps = steps
+                    state.cycles = cycles
+                    raise BudgetExceeded(
+                        f"exceeded {max_steps} interpreter steps"
+                    )
+                op = ins[0]
+                if op == OP_IF:
+                    if regs[ins[4]]:
+                        edge = ins[5]
+                        state_rec.branches_taken += 1
+                        slot = 0
                     else:
+                        edge = ins[6]
+                        slot = 1
+                    counts = branches.get(pc)
+                    if counts is None:
+                        counts = branches[pc] = [0, 0]
+                    counts[slot] += 1
+                    if edge[1]:
+                        for d, s in edge[1]:
+                            regs[d] = regs[s]
+                    npc = edge[0]
+                    blocks[edge[3]] = blocks.get(edge[3], 0) + 1
+                    if npc <= pc:
+                        state_rec.backedges += 1
+                        if (
+                            state_rec.promotable
+                            and state_rec.calls + state_rec.backedges
+                            >= threshold
+                        ):
+                            self.controller.promote(
+                                fn, state_rec, "backedge"
+                            )
+                    pc = npc
+                elif op == OP_GOTO:
+                    edge = ins[4]
+                    if edge[1]:
+                        for d, s in edge[1]:
+                            regs[d] = regs[s]
+                    npc = edge[0]
+                    blocks[edge[3]] = blocks.get(edge[3], 0) + 1
+                    if npc <= pc:
+                        state_rec.backedges += 1
+                        if (
+                            state_rec.promotable
+                            and state_rec.calls + state_rec.backedges
+                            >= threshold
+                        ):
+                            self.controller.promote(
+                                fn, state_rec, "backedge"
+                            )
+                    pc = npc
+                elif op != OP_CALL:
+                    pc = handlers[op](self, ins, regs, pc)
+                    if pc < 0:
                         state.steps = steps
-                        state.cycles = cycles
-                        regs[ins[3]] = self._call(
-                            ins[4], [regs[r] for r in ins[5]]
-                        )
-                        steps = state.steps
-                        cycles = state.cycles
-                        pc += 1
-                    cycles += ins[1]
-            else:
-                while True:
-                    ins = code[pc]
-                    steps += 1
-                    if steps > max_steps:
-                        state.steps = steps
-                        state.cycles = cycles
-                        raise BudgetExceeded(
-                            f"exceeded {max_steps} interpreter steps"
-                        )
-                    op = ins[0]
-                    if op == OP_IF:
-                        if regs[ins[4]]:
-                            edge = ins[5]
-                            state_rec.branches_taken += 1
-                            slot = 0
-                        else:
-                            edge = ins[6]
-                            slot = 1
-                        counts = branches.get(pc)
-                        if counts is None:
-                            counts = branches[pc] = [0, 0]
-                        counts[slot] += 1
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        npc = edge[0]
-                        blocks[edge[3]] = blocks.get(edge[3], 0) + 1
-                        if npc <= pc:
-                            state_rec.backedges += 1
-                            if (
-                                state_rec.promotable
-                                and state_rec.calls + state_rec.backedges
-                                >= threshold
-                            ):
-                                self.controller.promote(
-                                    fn, state_rec, "backedge"
-                                )
-                        pc = npc
-                    elif op == OP_GOTO:
-                        edge = ins[4]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        npc = edge[0]
-                        blocks[edge[3]] = blocks.get(edge[3], 0) + 1
-                        if npc <= pc:
-                            state_rec.backedges += 1
-                            if (
-                                state_rec.promotable
-                                and state_rec.calls + state_rec.backedges
-                                >= threshold
-                            ):
-                                self.controller.promote(
-                                    fn, state_rec, "backedge"
-                                )
-                        pc = npc
-                    elif op != OP_CALL:
-                        pc = handlers[op](self, ins, regs, pc)
-                        if pc < 0:
-                            state.steps = steps
-                            state.cycles = cycles
-                            return self._retval
-                    else:
-                        state.steps = steps
-                        state.cycles = cycles
-                        regs[ins[3]] = self._call(
-                            ins[4], [regs[r] for r in ins[5]]
-                        )
-                        steps = state.steps
-                        cycles = state.cycles
-                        pc += 1
+                        state.cycles = cycles + ins[1]
+                        return self._retval
+                else:
+                    state.steps = steps
+                    state.cycles = cycles
+                    regs[ins[3]] = self._call(
+                        ins[4], [regs[r] for r in ins[5]]
+                    )
+                    steps = state.steps
+                    cycles = state.cycles
+                    pc += 1
+                cycles += ins[1]
         except EvaluationTrap:
             # A trap from a nested call already flushed fresher values.
             if steps > state.steps:

@@ -316,8 +316,9 @@ def translate_program(
 ) -> BytecodeProgram:
     """Translate a whole program into executable bytecode.
 
-    Cost functions default to the node cost model so metered VM runs
-    report the same cycle totals as the metered reference interpreter;
+    Cost functions default to the node cost model so VM runs (always
+    metered) report the same cycle totals as the reference interpreter
+    metered with ``cycles_of``;
     pass custom functions to bake a different model.
 
     ``fuse=True`` (default) also builds each function's fused fast

@@ -275,7 +275,7 @@ def test_lint_catches_unbalanced_accounting():
     messages: list[str] = []
     # the block claims 3 instructions costing 21 cycles; the closure
     # only accounts for 2 steps and 5 cycles
-    _lint_accounting(func, 0, {0: 3}, code, True, messages)
+    _lint_accounting(func, 0, {0: 3}, code, messages)
     assert any("step increments sum to 2" in m for m in messages)
 
     messages = []
@@ -284,7 +284,7 @@ def test_lint_catches_unbalanced_accounting():
         "    m[0] += 3\n"
         "    m[1] += 5\n"
     ).body[0]
-    _lint_accounting(steps_ok, 0, {0: 3}, code, True, messages)
+    _lint_accounting(steps_ok, 0, {0: 3}, code, messages)
     assert any("cycle increments sum to 5" in m for m in messages)
 
 

@@ -51,6 +51,17 @@ class TestRun:
         assert code == 1
         assert "trap" in capsys.readouterr().err
 
+    def test_front_end_error_is_one_stderr_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.mini"
+        path.write_text("fn main() -> int {\n  var x: bool = 3;\n  return 0;\n}\n")
+        code = main(["run", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"{path}:2:0: error: cannot assign int to bool"
+        ]
+        assert "Traceback" not in captured.err
+
     def test_custom_entry(self, source_file, capsys):
         code = main(["run", str(source_file), "--entry", "foo", "--args", "5"])
         assert code == 0

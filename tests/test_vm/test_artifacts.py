@@ -38,7 +38,7 @@ def test_pack_unpack_roundtrip_preserves_shared_identity():
     # One pickle: the bytecode's entry block IS a block of the restored
     # program, not a disconnected copy.
     assert fn.entry_block is restored_program.function("main").entry
-    vm = VirtualMachine(restored_bytecode, metered=True)
+    vm = VirtualMachine(restored_bytecode)
     assert vm.run("main", [10]).value == 285
 
 

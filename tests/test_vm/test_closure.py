@@ -40,18 +40,12 @@ fn main(n: int) -> int {
 """
 
 
-def engines_for(source: str, metered: bool = True, **kwargs):
+def engines_for(source: str, **kwargs):
     program = compile_source(source)
     reference = Interpreter(
-        program,
-        cycle_cost=cycles_of if metered else None,
-        terminator_cost=cycles_of if metered else None,
-        **{k: v for k, v in kwargs.items() if k != "max_steps"},
-        max_steps=kwargs.get("max_steps", 50_000_000),
+        program, cycle_cost=cycles_of, terminator_cost=cycles_of, **kwargs
     )
-    closure = ClosureVirtualMachine(
-        translate_program(program), metered=metered, **kwargs
-    )
+    closure = ClosureVirtualMachine(translate_program(program), **kwargs)
     return reference, closure
 
 
@@ -68,14 +62,6 @@ def test_apps_value_step_cycle_parity(name):
         out, closure.state
     )
     assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
-
-
-def test_unmetered_runs_skip_cycles_but_count_steps():
-    reference, closure = engines_for(LOOP, metered=False)
-    ref = reference.run("main", [57])
-    out = closure.run("main", [57])
-    assert (ref.value, ref.steps) == (out.value, out.steps)
-    assert out.cycles == 0.0
 
 
 @pytest.mark.parametrize(
@@ -125,8 +111,7 @@ def test_mid_block_trap_flushes_partial_segment():
 # ----------------------------------------------------------------------
 # Budget stops (the segment guard's cold path)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-def test_budget_stop_exact_at_every_cap(metered):
+def test_budget_stop_exact_at_every_cap():
     program = compile_source(LOOP)
     bytecode = translate_program(program)
     total = ClosureVirtualMachine(bytecode).run("main", [9]).steps
@@ -134,12 +119,10 @@ def test_budget_stop_exact_at_every_cap(metered):
         reference = Interpreter(
             program,
             max_steps=cap,
-            cycle_cost=cycles_of if metered else None,
-            terminator_cost=cycles_of if metered else None,
+            cycle_cost=cycles_of,
+            terminator_cost=cycles_of,
         )
-        closure = ClosureVirtualMachine(
-            bytecode, max_steps=cap, metered=metered
-        )
+        closure = ClosureVirtualMachine(bytecode, max_steps=cap)
         ref_msg = clo_msg = None
         try:
             reference.run("main", [9])
@@ -151,8 +134,7 @@ def test_budget_stop_exact_at_every_cap(metered):
             clo_msg = str(exc)
         assert ref_msg == clo_msg
         assert reference.state.steps == closure.state.steps
-        if metered:
-            assert reference.state.cycles == closure.state.cycles
+        assert reference.state.cycles == closure.state.cycles
 
 
 def test_changing_max_steps_recompiles_drivers():
@@ -199,7 +181,7 @@ def test_recursion_and_stack_overflow():
     ref = reference.run("main", [0])
     out = closure.run("main", [0])
     assert ref.trap == out.trap == "stack overflow"
-    assert ref.steps == out.steps
+    assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +218,8 @@ def test_legacy_function_without_blocks_falls_back():
     bytecode = translate_program(program)
     fn = bytecode.function("main")
     fn.blocks = ()
-    assert compile_function(fn, True, 1000, 200) is None
-    closure = ClosureVirtualMachine(bytecode, metered=True)
+    assert compile_function(fn, 1000, 200) is None
+    closure = ClosureVirtualMachine(bytecode)
     reference = Interpreter(
         program, cycle_cost=cycles_of, terminator_cost=cycles_of
     )

@@ -140,7 +140,7 @@ def test_unoptimized_programs_also_agree():
         reference = Interpreter(
             program, cycle_cost=cycles_of, terminator_cost=cycles_of
         )
-        vm = VirtualMachine(translate_program(program), metered=True)
+        vm = VirtualMachine(translate_program(program))
         for args in EXAMPLE_ARGS:
             reference.reset()
             vm.reset()

@@ -178,29 +178,27 @@ def test_fused_sites_metric_emitted():
 # Exactness: parity and budget stops across fused boundaries
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("source", [COUNTUP, MIXER], ids=["countup", "mixer"])
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-def test_fused_machine_matches_reference(source, metered):
+def test_fused_machine_matches_reference(source):
     program = compile_source(source)
     bytecode = translate_program(program)
     reference = Interpreter(
         program,
-        cycle_cost=cycles_of if metered else None,
-        terminator_cost=cycles_of if metered else None,
+        cycle_cost=cycles_of,
+        terminator_cost=cycles_of,
     )
-    vm = VirtualMachine(bytecode, metered=metered)
+    vm = VirtualMachine(bytecode)
     for args in ([0], [1], [13], [57]):
         reference.reset()
         vm.reset()
         ref = reference.run("main", list(args))
         out = vm.run("main", list(args))
-        assert (ref.value, ref.steps) == (out.value, out.steps)
-        if metered:
-            assert ref.cycles == out.cycles
+        assert (ref.value, ref.steps, ref.cycles) == (
+            out.value, out.steps, out.cycles
+        )
 
 
 @pytest.mark.parametrize("source", [COUNTUP, MIXER], ids=["countup", "mixer"])
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-def test_budget_stop_exact_at_every_step_cap(source, metered):
+def test_budget_stop_exact_at_every_step_cap(source):
     # Sweeping the cap one step at a time forces the budget to trip on
     # every pc — including mid-superinstruction, where the prefix
     # halves replay through the base table before the stop.
@@ -212,10 +210,10 @@ def test_budget_stop_exact_at_every_step_cap(source, metered):
         reference = Interpreter(
             program,
             max_steps=cap,
-            cycle_cost=cycles_of if metered else None,
-            terminator_cost=cycles_of if metered else None,
+            cycle_cost=cycles_of,
+            terminator_cost=cycles_of,
         )
-        vm = VirtualMachine(bytecode, max_steps=cap, metered=metered)
+        vm = VirtualMachine(bytecode, max_steps=cap)
         ref_stop = vm_stop = None
         try:
             reference.run("main", [9])
@@ -227,8 +225,7 @@ def test_budget_stop_exact_at_every_step_cap(source, metered):
             vm_stop = str(exc)
         assert ref_stop == vm_stop
         assert reference.state.steps == vm.state.steps
-        if metered:
-            assert reference.state.cycles == vm.state.cycles
+        assert reference.state.cycles == vm.state.cycles
 
 
 def test_nofuse_machine_ignores_the_fast_stream():
@@ -236,8 +233,8 @@ def test_nofuse_machine_ignores_the_fast_stream():
     # the same thing with the same accounting.
     program = compile_source(MIXER)
     bytecode = translate_program(program)
-    fused = VirtualMachine(bytecode, metered=True)
-    flat = VirtualMachine(bytecode, metered=True, fused=False)
+    fused = VirtualMachine(bytecode)
+    flat = VirtualMachine(bytecode, fused=False)
     a = fused.run("main", [23])
     b = flat.run("main", [23])
     assert (a.value, a.steps, a.cycles) == (b.value, b.steps, b.cycles)

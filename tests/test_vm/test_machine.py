@@ -1,8 +1,10 @@
 """VM semantics: exact parity with the reference interpreter.
 
 Every behaviour the reference interpreter exhibits — values, trap
-messages, step counts, metered cycles, budget timing, profile hooks,
-observer callbacks — must be reproduced bit-for-bit by the VM.
+messages, step counts, cycles, budget timing, profile hooks,
+observer callbacks — must be reproduced bit-for-bit by the VM.  The VM
+always meters cycles, so every comparison runs against a reference
+metered with ``cycles_of``.
 """
 
 import pytest
@@ -26,35 +28,32 @@ APPS = {
 }
 
 
-def engines_for(source: str, metered: bool = False, **vm_kwargs):
+def metered_reference(program, **kwargs) -> Interpreter:
+    return Interpreter(
+        program, cycle_cost=cycles_of, terminator_cost=cycles_of, **kwargs
+    )
+
+
+def engines_for(source: str, **vm_kwargs):
     program = compile_source(source)
-    reference = Interpreter(
-        program,
-        cycle_cost=cycles_of if metered else None,
-        terminator_cost=cycles_of if metered else None,
-        **vm_kwargs,
-    )
-    vm = VirtualMachine(
-        translate_program(program), metered=metered, **vm_kwargs
-    )
+    reference = metered_reference(program, **vm_kwargs)
+    vm = VirtualMachine(translate_program(program), **vm_kwargs)
     return reference, vm
 
 
-def both(source: str, args, metered: bool = False):
-    reference, vm = engines_for(source, metered=metered)
+def both(source: str, args):
+    reference, vm = engines_for(source)
     ref = reference.run("main", list(args))
     out = vm.run("main", list(args))
     return (reference, ref), (vm, out)
 
 
-def assert_parity(source: str, args, metered: bool = False):
-    (reference, ref), (vm, out) = both(source, args, metered=metered)
+def assert_parity(source: str, args):
+    (reference, ref), (vm, out) = both(source, args)
     assert observable_outcome(ref, reference.state) == observable_outcome(
         out, vm.state
     )
-    assert ref.steps == out.steps
-    if metered:
-        assert ref.cycles == out.cycles
+    assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
     return ref, out
 
 
@@ -64,16 +63,14 @@ def assert_parity(source: str, args, metered: bool = False):
 @pytest.mark.parametrize("name", sorted(APPS))
 def test_apps_value_step_cycle_parity(name):
     path, args = APPS[name]
-    assert_parity(open(path).read(), args, metered=True)
+    assert_parity(open(path).read(), args)
 
 
 def test_parity_on_optimized_program():
     source = open("examples/apps/nqueens.mini").read()
     program, _ = compile_and_profile(source, "main", [[5]], DBDS)
-    reference = Interpreter(
-        program, cycle_cost=cycles_of, terminator_cost=cycles_of
-    )
-    vm = VirtualMachine(translate_program(program), metered=True)
+    reference = metered_reference(program)
+    vm = VirtualMachine(translate_program(program))
     ref = reference.run("main", [7])
     out = vm.run("main", [7])
     assert (ref.value, ref.steps, ref.cycles) == (out.value, out.steps, out.cycles)
@@ -117,7 +114,7 @@ TRAP_SOURCES = {
 
 @pytest.mark.parametrize("label", sorted(TRAP_SOURCES))
 def test_trap_message_and_step_parity(label):
-    (reference, ref), (vm, out) = both(TRAP_SOURCES[label], [0], metered=True)
+    (reference, ref), (vm, out) = both(TRAP_SOURCES[label], [0])
     assert ref.trap is not None and label in ref.trap
     assert ref.trap == out.trap
     assert ref.steps == out.steps
@@ -137,13 +134,14 @@ def test_null_field_trap_messages():
         (reference, ref), (vm, out) = both(source, args)
         assert ref.trap == out.trap
         assert "null dereference" in out.trap
+        assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
 
 
 def test_stack_overflow_parity():
     source = "fn main(x: int) -> int { return main(x + 1); }"
     (reference, ref), (vm, out) = both(source, [0])
     assert ref.trap == out.trap == "stack overflow"
-    assert ref.steps == out.steps
+    assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +158,7 @@ fn main(n: int) -> int {
 
 def test_budget_exceeded_matches_reference():
     program = compile_source(LOOP)
-    reference = Interpreter(program, max_steps=500)
+    reference = metered_reference(program, max_steps=500)
     vm = VirtualMachine(translate_program(program), max_steps=500)
     with pytest.raises(BudgetExceeded) as ref_exc:
         reference.run("main", [0])
@@ -168,6 +166,7 @@ def test_budget_exceeded_matches_reference():
         vm.run("main", [0])
     assert str(ref_exc.value) == str(vm_exc.value) == "exceeded 500 interpreter steps"
     assert reference.state.steps == vm.state.steps
+    assert reference.state.cycles == vm.state.cycles
 
 
 def test_budget_not_hit_just_below_threshold():
@@ -229,8 +228,11 @@ fn main(n: int) -> int {
 def test_profile_collectors_record_identically():
     program = compile_source(BRANCHY)
     ref_profile, vm_profile = ProfileCollector(), ProfileCollector()
-    Interpreter(program, profile=ref_profile).run("main", [9])
-    VirtualMachine(translate_program(program), profile=vm_profile).run("main", [9])
+    ref = metered_reference(program, profile=ref_profile).run("main", [9])
+    out = VirtualMachine(translate_program(program), profile=vm_profile).run(
+        "main", [9]
+    )
+    assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
     assert ref_profile.block_counts == vm_profile.block_counts
     assert ref_profile.branch_counts == vm_profile.branch_counts
 
@@ -241,13 +243,15 @@ def test_profile_collectors_record_identically():
 def test_observer_sees_same_instruction_value_sequence():
     program = compile_source(BRANCHY)
     seen_ref, seen_vm = [], []
-    Interpreter(program, observer=lambda i, v: seen_ref.append((i, v))).run(
-        "main", [7]
-    )
-    VirtualMachine(
+    ref = metered_reference(
+        program, observer=lambda i, v: seen_ref.append((i, v))
+    ).run("main", [7])
+    out = VirtualMachine(
         translate_program(program), observer=lambda i, v: seen_vm.append((i, v))
     ).run("main", [7])
     assert seen_ref == seen_vm
+    # The observer loop meters like the unobserved one.
+    assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
 
 
 def test_observer_fires_for_self_move_phis():

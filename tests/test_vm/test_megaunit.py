@@ -83,18 +83,12 @@ fn main(x: int) -> int { return down(x, 0); }
 """
 
 
-def engines_for(source: str, metered: bool = True, **kwargs):
+def engines_for(source: str, **kwargs):
     program = compile_source(source)
     reference = Interpreter(
-        program,
-        cycle_cost=cycles_of if metered else None,
-        terminator_cost=cycles_of if metered else None,
-        **{k: v for k, v in kwargs.items() if k != "max_steps"},
-        max_steps=kwargs.get("max_steps", 50_000_000),
+        program, cycle_cost=cycles_of, terminator_cost=cycles_of, **kwargs
     )
-    megaunit = MegaunitVirtualMachine(
-        translate_program(program), metered=metered, **kwargs
-    )
+    megaunit = MegaunitVirtualMachine(translate_program(program), **kwargs)
     return reference, megaunit
 
 
@@ -118,14 +112,9 @@ def test_apps_value_step_cycle_parity(name):
     assert_parity(reference, megaunit, args)
 
 
-def test_call_heavy_parity_and_unmetered():
+def test_call_heavy_parity():
     reference, megaunit = engines_for(CALLS)
     assert_parity(reference, megaunit, [9])
-    reference, megaunit = engines_for(CALLS, metered=False)
-    ref = reference.run("main", [9])
-    out = megaunit.run("main", [9])
-    assert (ref.value, ref.steps) == (out.value, out.steps)
-    assert out.cycles == 0.0
 
 
 def test_optimized_fused_stream_is_consumable():
@@ -168,14 +157,13 @@ def test_stack_overflow_trap_parity():
     ref = reference.run("main", [0])
     out = megaunit.run("main", [0])
     assert ref.trap == out.trap == "stack overflow"
-    assert ref.steps == out.steps
+    assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
 
 
 # ----------------------------------------------------------------------
 # Budget stops: mid-segment, mid-call and at call boundaries
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-def test_budget_stop_exact_at_every_cap(metered):
+def test_budget_stop_exact_at_every_cap():
     program = compile_source(CALLS)
     bytecode = translate_program(program)
     total = MegaunitVirtualMachine(bytecode).run("main", [5]).steps
@@ -183,12 +171,10 @@ def test_budget_stop_exact_at_every_cap(metered):
         reference = Interpreter(
             program,
             max_steps=cap,
-            cycle_cost=cycles_of if metered else None,
-            terminator_cost=cycles_of if metered else None,
+            cycle_cost=cycles_of,
+            terminator_cost=cycles_of,
         )
-        megaunit = MegaunitVirtualMachine(
-            bytecode, max_steps=cap, metered=metered
-        )
+        megaunit = MegaunitVirtualMachine(bytecode, max_steps=cap)
         ref_msg = mu_msg = None
         try:
             reference.run("main", [5])
@@ -200,8 +186,7 @@ def test_budget_stop_exact_at_every_cap(metered):
             mu_msg = str(exc)
         assert ref_msg == mu_msg
         assert reference.state.steps == megaunit.state.steps
-        if metered:
-            assert reference.state.cycles == megaunit.state.cycles
+        assert reference.state.cycles == megaunit.state.cycles
 
 
 def test_changing_max_steps_recompiles_module():
@@ -250,7 +235,7 @@ def test_recursion_headroom_falls_back_to_closure():
     tracer = Tracer()
     registry = MetricsRegistry()
     megaunit = MegaunitVirtualMachine(
-        bytecode, metered=True,
+        bytecode,
         max_call_depth=sys.getrecursionlimit() + 100,
     )
     with use_tracer(tracer), use_registry(registry):
@@ -280,7 +265,7 @@ def test_missing_block_spans_fall_back():
     with pytest.raises(MegaunitUnsupported):
         generate_module_source(bytecode)
     tracer = Tracer()
-    megaunit = MegaunitVirtualMachine(bytecode, metered=True)
+    megaunit = MegaunitVirtualMachine(bytecode)
     reference = Interpreter(
         program, cycle_cost=cycles_of, terminator_cost=cycles_of
     )
@@ -320,11 +305,10 @@ def test_observer_hook_falls_back_to_machine_loops():
 def test_module_source_is_real_python_and_lints_clean():
     program, _ = compile_and_profile(CALLS, "main", [[6]], DBDS)
     bytecode = translate_program(program)
-    for metered in (False, True):
-        source = generate_module_source(bytecode, metered=metered)
-        compile(source, "<megaunit-test>", "exec")  # must parse
-        assert "def _mu0(vm, m" in source
-        assert lint_megaunit_source(bytecode, metered=metered) == []
+    source = generate_module_source(bytecode)
+    compile(source, "<megaunit-test>", "exec")  # must parse
+    assert "def _mu0(vm, m" in source
+    assert lint_megaunit_source(bytecode) == []
 
 
 def test_verify_bytecode_runs_the_megaunit_lint():
@@ -351,7 +335,7 @@ def test_codegen_cache_round_trip(tmp_path):
     registry = MetricsRegistry()
     with use_registry(registry):
         cold = MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
+            bytecode, codegen_cache=cache
         )
         cold_result = cold.run("main", [8])
     snap = registry.snapshot()
@@ -360,7 +344,7 @@ def test_codegen_cache_round_trip(tmp_path):
     ) == 1
     with use_registry(registry):
         warm = MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
+            bytecode, codegen_cache=cache
         )
         warm_result = warm.run("main", [8])
     snap = registry.snapshot()
@@ -383,10 +367,10 @@ def test_codegen_cache_key_tracks_baked_knobs(tmp_path):
     registry = MetricsRegistry()
     with use_registry(registry):
         MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache, max_steps=1000
+            bytecode, codegen_cache=cache, max_steps=1000
         ).run("main", [5])
         MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache, max_steps=2000
+            bytecode, codegen_cache=cache, max_steps=2000
         ).run("main", [5])
     snap = registry.snapshot()
     assert snap.counter_value(
@@ -406,11 +390,11 @@ def test_closure_engine_also_caches_codegen(tmp_path):
     registry = MetricsRegistry()
     with use_registry(registry):
         cold = ClosureVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
+            bytecode, codegen_cache=cache
         )
         cold_result = cold.run("main", [8])
         warm = ClosureVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
+            bytecode, codegen_cache=cache
         )
         warm_result = warm.run("main", [8])
     snap = registry.snapshot()
@@ -434,7 +418,6 @@ def test_tiered_tier2_promotion_pairs_events_and_agrees():
     tracer = Tracer()
     tiered = TieredVirtualMachine(
         program,
-        metered=True,
         policy=TieringPolicy(
             threshold=4, tier2_engine="megaunit", tier2_threshold=8
         ),

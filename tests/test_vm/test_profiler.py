@@ -5,17 +5,23 @@ Two contracts (docs/OBSERVABILITY.md):
 * **zero overhead** — the profiled dispatch loop is a *separate
   specialization*; the default :class:`VirtualMachine` is untouched and
   a profiled run produces bit-identical outcomes, step counts and
-  metered cycles to an unprofiled metered run;
-* **exact reconciliation** — per-opcode cycle sums equal the metered
-  total on every run (including trapped ones), and per-opcode step
+  cycles to an unprofiled run (every engine meters cycles);
+* **exact reconciliation** — per-opcode cycle sums equal the run's
+  cycle total, which is the ``cycles_of``-metered reference's, on every
+  run (including trapped ones), and per-opcode step
   sums equal ``state.steps`` except after :class:`BudgetExceeded`
   (whose final step the machine counts but no opcode completes).
 """
 
 import pytest
 
+from repro.costmodel.model import cycles_of
 from repro.frontend.irbuilder import compile_source
-from repro.interp.interpreter import BudgetExceeded, observable_outcome
+from repro.interp.interpreter import (
+    BudgetExceeded,
+    Interpreter,
+    observable_outcome,
+)
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import DBDS
 from repro.vm import VirtualMachine, translate_program
@@ -47,7 +53,7 @@ fn main(n: int) -> int { return fib(n); }
 def metered_and_profiled(source: str, args):
     program = compile_source(source)
     bytecode = translate_program(program)
-    base = VirtualMachine(bytecode, metered=True)
+    base = VirtualMachine(bytecode)
     prof = ProfilingVirtualMachine(bytecode)
     ref = base.run("main", list(args))
     out = prof.run("main", list(args))
@@ -73,7 +79,6 @@ class TestZeroOverhead:
         # The shared opcode handlers branch on these two attributes;
         # None keeps them on the same fast edge path as the default VM.
         assert vm.profile is None and vm.observer is None
-        assert vm.metered
 
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_identical_outcome_steps_cycles(self, name):
@@ -91,7 +96,7 @@ class TestZeroOverhead:
         source = open("examples/apps/nqueens.mini").read()
         program, _ = compile_and_profile(source, "main", [[5]], DBDS)
         bytecode = translate_program(program)
-        ref = VirtualMachine(bytecode, metered=True).run("main", [7])
+        ref = VirtualMachine(bytecode).run("main", [7])
         out = ProfilingVirtualMachine(bytecode).run("main", [7])
         assert (ref.value, ref.steps, ref.cycles) == (
             out.value,
@@ -107,7 +112,14 @@ class TestReconciliation:
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_opcode_sums_match_metered_totals(self, name):
         path, args = APPS[name]
-        _, (prof, out) = metered_and_profiled(open(path).read(), args)
+        source = open(path).read()
+        _, (prof, out) = metered_and_profiled(source, args)
+        expected = Interpreter(
+            compile_source(source),
+            cycle_cost=cycles_of,
+            terminator_cost=cycles_of,
+        ).run("main", list(args))
+        assert (expected.steps, expected.cycles) == (out.steps, out.cycles)
         vmprofile = prof.vmprofile
         assert vmprofile.total_steps == prof.state.steps == out.steps
         assert vmprofile.total_cycles == prof.state.cycles == out.cycles
@@ -124,7 +136,7 @@ class TestReconciliation:
 
     def test_trapped_run_still_reconciles(self):
         # The trapping instruction counts a step but no cycles — in the
-        # metered loop and in the profiler alike.
+        # flat loop and in the profiler alike.
         (base, ref), (prof, out) = metered_and_profiled(TRAP_DIV, [3])
         assert ref.trapped and out.trapped
         assert ref.steps == out.steps and ref.cycles == out.cycles
@@ -138,7 +150,7 @@ class TestReconciliation:
         )
         program = compile_source(source)
         bytecode = translate_program(program)
-        base = VirtualMachine(bytecode, metered=True, max_steps=1000)
+        base = VirtualMachine(bytecode, max_steps=1000)
         prof = ProfilingVirtualMachine(bytecode, max_steps=1000)
         with pytest.raises(BudgetExceeded):
             base.run("main", [0])
@@ -164,7 +176,7 @@ class TestAttribution:
         stacks = {";".join(k): v for k, v in vmprofile.stacks.items()}
         assert any(key.startswith("main;fib") for key in stacks)
         assert any("fib;add" in key for key in stacks)
-        # Exclusive weights: stack sum equals the metered total.
+        # Exclusive weights: stack sum equals the run's total cycles.
         assert sum(stacks.values()) == total
 
     def test_collapsed_format(self):

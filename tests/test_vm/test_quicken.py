@@ -30,7 +30,7 @@ def quickened_main(source: str, *run_args):
     """Translate, run once (forcing quickening), return (vm, fn)."""
     program = compile_source(source)
     bytecode = translate_program(program)
-    vm = VirtualMachine(bytecode, metered=True)
+    vm = VirtualMachine(bytecode)
     for args in run_args or ([0],):
         vm.reset()
         vm.run("main", list(args))
@@ -43,7 +43,7 @@ def assert_parity(source: str, arg_sets):
     reference = Interpreter(
         program, cycle_cost=cycles_of, terminator_cost=cycles_of
     )
-    vm = VirtualMachine(bytecode, metered=True)
+    vm = VirtualMachine(bytecode)
     for args in arg_sets:
         reference.reset()
         vm.reset()
@@ -213,7 +213,7 @@ def test_eq_type_change_deopts():
 def test_deopt_is_permanent():
     program = compile_source(OVERFLOW)
     bytecode = translate_program(program)
-    vm = VirtualMachine(bytecode, metered=True)
+    vm = VirtualMachine(bytecode)
     fn = bytecode.function("main")
     vm.run("main", [3])  # quickens, then deopts on the overflow
     guarded_after_first = sum(
@@ -261,7 +261,7 @@ def test_quicken_and_deopt_metrics():
     registry = MetricsRegistry()
     with use_registry(registry):
         program = compile_source(OVERFLOW)
-        vm = VirtualMachine.for_program(program, metered=True)
+        vm = VirtualMachine.for_program(program)
         vm.run("main", [3])
     snap = registry.snapshot()
     assert snap.counter_total("repro_vm_quickened_sites_total") > 0
@@ -269,24 +269,23 @@ def test_quicken_and_deopt_metrics():
     assert snap.counter_value("repro_vm_deopts_total", opcode="add") > 0
 
 
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-def test_budget_timing_unchanged_by_quickening(metered):
+def test_budget_timing_unchanged_by_quickening():
     # Run once to quicken, then sweep caps: the rewritten stream must
     # stop at exactly the same step as the reference every time.
     from repro.interp.interpreter import BudgetExceeded
 
     program = compile_source(OVERFLOW)
     bytecode = translate_program(program)
-    warm = VirtualMachine(bytecode, metered=metered)
+    warm = VirtualMachine(bytecode)
     total = warm.run("main", [3]).steps
     for cap in range(1, total + 2, 7):
         reference = Interpreter(
             program,
             max_steps=cap,
-            cycle_cost=cycles_of if metered else None,
-            terminator_cost=cycles_of if metered else None,
+            cycle_cost=cycles_of,
+            terminator_cost=cycles_of,
         )
-        vm = VirtualMachine(bytecode, max_steps=cap, metered=metered)
+        vm = VirtualMachine(bytecode, max_steps=cap)
         ref_msg = vm_msg = None
         try:
             reference.run("main", [3])
@@ -298,5 +297,4 @@ def test_budget_timing_unchanged_by_quickening(metered):
             vm_msg = str(exc)
         assert ref_msg == vm_msg
         assert reference.state.steps == vm.state.steps
-        if metered:
-            assert reference.state.cycles == vm.state.cycles
+        assert reference.state.cycles == vm.state.cycles

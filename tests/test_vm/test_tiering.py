@@ -67,14 +67,13 @@ def optimized(source, entry="main", profile_args=((8,),)):
 def tiered(program, threshold, **kwargs):
     return TieredVirtualMachine(
         program,
-        metered=True,
         policy=TieringPolicy(threshold=threshold, **kwargs.pop("policy_kw", {})),
         **kwargs,
     )
 
 
 def vm_baseline(program, entry, args):
-    vm = VirtualMachine(translate_program(program), metered=True)
+    vm = VirtualMachine(translate_program(program))
     result = vm.run(entry, list(args))
     return result, vm
 
@@ -203,7 +202,7 @@ def test_budget_stops_identically_mid_promotion(budget):
     # middle of the frame whose back edge triggered promotion.
     program = optimized(LOOPY)
     baseline = VirtualMachine(
-        translate_program(program), metered=True, max_steps=budget
+        translate_program(program), max_steps=budget
     )
     with pytest.raises(BudgetExceeded) as ref_exc:
         baseline.run("main", [200])
@@ -212,6 +211,7 @@ def test_budget_stops_identically_mid_promotion(budget):
         machine.run("main", [200])
     assert str(tier_exc.value) == str(ref_exc.value)
     assert machine.state.steps == baseline.state.steps
+    assert machine.state.cycles == baseline.state.cycles
 
 
 def test_promotions_survive_reset():
@@ -266,7 +266,7 @@ def test_plan_cache_round_trip(tmp_path):
     program = optimized(LOOPY)
     cache = ArtifactCache(tmp_path / "cache")
     first = TieredVirtualMachine(
-        program, metered=True,
+        program,
         policy=TieringPolicy(threshold=4), plan_cache=cache,
     )
     first.run("hot", [30])
@@ -275,7 +275,7 @@ def test_plan_cache_round_trip(tmp_path):
     # A second machine over a fresh translation of the same program
     # reaches the same profile fingerprint and reuses the stored plan.
     second = TieredVirtualMachine(
-        program, metered=True,
+        program,
         policy=TieringPolicy(threshold=4), plan_cache=cache,
     )
     second.run("hot", [30])
@@ -311,7 +311,7 @@ def test_hooked_runs_pause_tiering():
     events = []
     program = optimized(LOOPY)
     machine = TieredVirtualMachine(
-        program, metered=True,
+        program,
         policy=TieringPolicy(threshold=1),
         observer=lambda node, value: events.append((node, value)),
     )

@@ -40,7 +40,7 @@ program, _ = compile_and_profile(source, "main", [[5]], DBDS)
 tracer = Tracer()
 with use_tracer(tracer):
     machine = TieredVirtualMachine(
-        program, metered=True, policy=TieringPolicy(threshold=threshold)
+        program, policy=TieringPolicy(threshold=threshold)
     )
     for _ in range(runs):
         machine.reset()
@@ -98,7 +98,7 @@ def test_in_process_reruns_agree():
 
     def one_report():
         machine = TieredVirtualMachine(
-            program, metered=True, policy=TieringPolicy(threshold=8)
+            program, policy=TieringPolicy(threshold=8)
         )
         for _ in range(3):
             machine.reset()
@@ -114,7 +114,7 @@ def test_promotion_order_is_execution_order():
     source = NQUEENS.read_text()
     program, _ = compile_and_profile(source, "main", [[5]], DBDS)
     machine = TieredVirtualMachine(
-        program, metered=True, policy=TieringPolicy(threshold=8)
+        program, policy=TieringPolicy(threshold=8)
     )
     machine.run("main", [6])
     order = [p["function"] for p in machine.controller.promotions]
@@ -122,7 +122,7 @@ def test_promotion_order_is_execution_order():
     # conflicts goes hot before place accumulates enough back edges:
     # the order is a semantic artifact of execution, stable by contract.
     machine2 = TieredVirtualMachine(
-        program, metered=True, policy=TieringPolicy(threshold=8)
+        program, policy=TieringPolicy(threshold=8)
     )
     machine2.run("main", [6])
     assert [p["function"] for p in machine2.controller.promotions] == order

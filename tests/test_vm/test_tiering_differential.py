@@ -41,7 +41,7 @@ HOT_THRESHOLD = 4
 
 def tiered_machine(program, threshold=HOT_THRESHOLD, **kwargs):
     return TieredVirtualMachine(
-        program, metered=True,
+        program,
         policy=TieringPolicy(threshold=threshold), **kwargs,
     )
 
@@ -76,7 +76,7 @@ def test_examples_identical_under_aggressive_tiering(path):
     )
     bytecode = translate_program(program)
     expected = sweep(
-        VirtualMachine(bytecode, metered=True), "main", EXAMPLE_ARGS * 3
+        VirtualMachine(bytecode), "main", EXAMPLE_ARGS * 3
     )
     machine = tiered_machine(program, threshold=1)
     assert sweep(machine, "main", EXAMPLE_ARGS * 3) == expected
@@ -101,7 +101,7 @@ def test_budget_stop_mid_promotion_is_bit_identical(budget):
     path = next(p for p in EXAMPLES if p.stem == "nqueens")
     program, _ = compile_and_profile(path.read_text(), "main", [[5]], DBDS)
     baseline = VirtualMachine(
-        translate_program(program), metered=True, max_steps=budget
+        translate_program(program), max_steps=budget
     )
     machine = tiered_machine(program, max_steps=budget)
     with pytest.raises(BudgetExceeded) as ref_exc:
@@ -156,6 +156,6 @@ def test_promoted_state_carries_into_later_differentials():
     machine = tiered_machine(program, threshold=2)
     sweep(machine, "main", [[3], [3], [3], [3]])
     promoted_before = len(machine.controller.promotions)
-    expected = sweep(VirtualMachine(bytecode, metered=True), "main", EXAMPLE_ARGS)
+    expected = sweep(VirtualMachine(bytecode), "main", EXAMPLE_ARGS)
     assert sweep(machine, "main", EXAMPLE_ARGS) == expected
     assert promoted_before >= 1
