@@ -572,6 +572,9 @@ def _check_one_file(
         print(f"{path}:", file=sys.stderr)
         print(exc.format_blame(), file=sys.stderr)
         return 1
+    except CompileError as exc:
+        print(_compile_error_line(exc, path), file=sys.stderr)
+        return 1
     failures += _report_guard_failures(guard)
     bytecode = None
     if cache is not None and failures == 0:
@@ -1323,8 +1326,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _compile_error_line(exc: CompileError, source) -> str:
-    """``path:line:column: error: message`` (parts that are unknown,
-    such as the path of a multi-file verb, are left out)."""
+    """``path:line:column: error: message``; a part that is unknown
+    (no source path, or an error without a position) is left out."""
     location = [str(source)] if source is not None else []
     if exc.line:
         location += [str(exc.line), str(exc.column)]

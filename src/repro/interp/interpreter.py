@@ -5,9 +5,12 @@ Three roles:
 * **Semantics oracle** — optimized and unoptimized programs must produce
   identical observable results (return value, reachable heap, globals,
   traps); the test suite runs both and compares.
-* **Profiler** — a profiling run records branch-taken counts and loop
-  trip counts, which the compiler consumes exactly like Graal consumes
-  HotSpot profiles (Section 5.3).
+* **Profile oracle** — ``profile=`` hooks record branch-taken counts
+  and block counts at the points the bytecode VM's hooked loop does;
+  the compiler's profile (Section 5.3, consumed like Graal consumes
+  HotSpot profiles) is collected on the VM by
+  :func:`~repro.interp.profile.profile_program`, and the tests compare
+  it against these hooks.
 * **Performance simulator** — executions can be charged node-cost-model
   cycles per executed instruction, giving the "peak performance" metric
   of the evaluation (see DESIGN.md for why this substitution is sound).

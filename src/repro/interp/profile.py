@@ -2,9 +2,18 @@
 
 Mirrors the paper's setup: HotSpot's interpreter profiles branches, the
 compiler reads those profiles as edge probabilities and loop
-frequencies.  Here a profiling interpretation run fills
-``If.true_probability`` and ``Block.profile_trip_count`` on the very
-graphs the compiler will transform; clones carry the data along.
+frequencies.  Here a profiling run of the unoptimized program on the
+bytecode VM's hooked flat-tuple loop fills the counters, and
+:func:`apply_profile` writes them into ``If.true_probability`` and
+``Block.profile_trip_count`` on the very graphs the compiler will
+transform; clones carry the data along.
+
+The VM fires ``record_block``/``record_branch`` at the reference
+interpreter's points, keyed by the same IR ``Block``/``If`` objects,
+and stops at the same step, so the collector equals the one
+``Interpreter(profile=...)`` fills — traps, budget stops and partial
+counts included.  The interpreter stays the oracle for that parity
+(``tests/test_interp/test_profile.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +23,9 @@ from typing import Any, Iterable
 from ..ir.graph import Program
 from ..ir.loops import DEFAULT_TRIP_COUNT
 from ..ir.nodes import If
-from .interpreter import Interpreter, ProfileCollector
+from ..vm.machine import VirtualMachine
+from ..vm.translate import translate_program
+from .interpreter import ProfileCollector
 
 
 def profile_program(
@@ -23,12 +34,22 @@ def profile_program(
     arg_sets: Iterable[list[Any]],
     max_steps: int = 50_000_000,
 ) -> ProfileCollector:
-    """Run ``entry`` over every argument set, collecting counters."""
+    """Run ``entry`` over every argument set, collecting counters.
+
+    Each set runs on fresh globals and meters.  A trap ends that run
+    only; :class:`~repro.interp.interpreter.BudgetExceeded` (more than
+    ``max_steps`` steps in one run) propagates.  The bytecode is
+    translated unfused: it serves this one hooked run and is dropped.
+    """
     collector = ProfileCollector()
-    interpreter = Interpreter(program, max_steps=max_steps, profile=collector)
+    vm = VirtualMachine(
+        translate_program(program, fuse=False),
+        max_steps=max_steps,
+        profile=collector,
+    )
     for args in arg_sets:
-        interpreter.reset()
-        interpreter.run(entry, list(args))
+        vm.reset()
+        vm.run(entry, list(args))
     return collector
 
 

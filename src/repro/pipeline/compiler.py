@@ -278,9 +278,11 @@ def compile_and_profile(
     """Front-end + profiling run + optimizing compilation.
 
     This is the full JIT story in one call: parse, collect a profile by
-    interpreting the unoptimized program, feed the profile to the
-    compiler, optimize.  Pass a ``tracer`` to record the compilation,
-    a ``check_ir`` mode to run the IR sanitizers while compiling.
+    running the unoptimized program on the bytecode VM
+    (:func:`~repro.interp.profile.profile_program`), feed the profile
+    to the compiler, optimize.  Pass a ``tracer`` to record the
+    compilation, a ``check_ir`` mode to run the IR sanitizers while
+    compiling.
     """
     program = compile_source(source)
     collector = profile_program(program, entry, profile_args)

@@ -68,6 +68,23 @@ class TestRun:
         assert "7" in capsys.readouterr().out
 
 
+class TestCheck:
+    def test_front_end_error_names_file_and_keeps_going(
+        self, source_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.mini"
+        bad.write_text("fn main() -> int {\n  var x: bool = 3;\n  return 0;\n}\n")
+        code = main(["check", str(bad), str(source_file), "--args", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"{bad}:2:0: error: cannot assign int to bool"
+        ]
+        # The good file after the bad one is still checked.
+        assert "check: 2 file(s)" in captured.out
+        assert "1 failure(s)" in captured.out
+
+
 class TestCompile:
     def test_metrics_table(self, source_file, capsys):
         code = main(["compile", str(source_file), "--config", "dbds"])
